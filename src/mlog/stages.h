@@ -25,19 +25,19 @@ namespace tcmf::mlog {
 /// with the insitu/synopses stage helpers.
 
 /// Terminal stage: drains `flow` into `*log` using batched appends (one
-/// fsync per batch under FsyncPolicy::kPerBatch). The append batch size
-/// is `stage.batch`'s transfer cap (PopMax; defaults to Batched(256)
-/// when unset). The drain uses the channel's batched pop, so filling an
-/// append batch costs one lock acquisition per available chunk instead
-/// of one per record — the fsync amortization and the transport
-/// amortization line up. Registers a `stage.name` stage (default
-/// "mlog.sink") with the pipeline exposing the log's counters (bytes
-/// written, fsyncs, recovery stats). On an append error — mid-stream or
-/// on the final tail flush — the failure is recorded as a sticky stage
-/// error (StageMetrics.error, visible in Report()/ReportJson()); the
-/// mid-stream path additionally cancels upstream (CloseAndDrain) so the
-/// pipeline shuts down instead of losing data silently. The log must
-/// outlive the pipeline run.
+/// fsync per batch under FsyncPolicy::kPerBatch). Each append takes
+/// everything queued, up to `stage.batch`'s transfer cap (PopMax;
+/// defaults to Batched(256) when unset), in one lock acquisition — the
+/// fsync amortization and the transport amortization line up. A partial
+/// batch is appended as soon as the input goes idle
+/// (stream::DrainInBatches): group commit under load, and a trickling
+/// stream reaches the log before end-of-stream. Registers a `stage.name`
+/// stage (default "mlog.sink") with the pipeline exposing the log's
+/// counters (bytes written, fsyncs, recovery stats). On an append error
+/// the failure is recorded as a sticky stage error (StageMetrics.error,
+/// visible in Report()/ReportJson()) and upstream is cancelled
+/// (CloseAndDrain) so the pipeline shuts down instead of losing data
+/// silently. The log must outlive the pipeline run.
 inline void LogSink(stream::Flow<stream::Record> flow, Log* log,
                     stream::StageOptions stage = {}) {
   stream::Pipeline* pipeline = flow.pipeline();
@@ -52,29 +52,12 @@ inline void LogSink(stream::Flow<stream::Record> flow, Log* log,
   const size_t batch_size = std::max<size_t>(
       1, stage.batch.value_or(stream::BatchPolicy::Batched(256)).PopMax());
   pipeline->AddThread([in, log, batch_size, error] {
-    std::vector<stream::Record> batch;
-    batch.reserve(batch_size);
-    while (true) {
-      // Top the batch up from whatever is queued (blocks when empty);
-      // append + fsync once it is full.
-      if (in->PopBatch(&batch, batch_size - batch.size()) == 0) break;
-      if (batch.size() < batch_size) continue;
-      if (Status s = log->AppendBatch(batch).status(); !s.ok()) {
-        error->Set(s.ToString());
-        in->CloseAndDrain();  // propagate failure upstream
-        return;
-      }
-      batch.clear();
-    }
-    // Final tail flush at EOS. There is no upstream left to cancel, so
-    // the sticky error is the only way a failure here can surface —
-    // dropping this Status would be silent loss of the stream's last
-    // records.
-    if (!batch.empty()) {
-      if (Status s = log->AppendBatch(batch).status(); !s.ok()) {
-        error->Set(s.ToString());
-      }
-    }
+    stream::DrainInBatches(
+        in, batch_size, [log, &error](std::vector<stream::Record>& batch) {
+          Status s = log->AppendBatch(batch).status();
+          if (!s.ok()) error->Set(s.ToString());
+          return s.ok();
+        });
   });
 }
 
@@ -173,11 +156,11 @@ using RecordKeyFn = std::function<uint64_t(const stream::Record&)>;
 /// its key's partition (Mix64(key_fn(r)) % N — the topic's producer
 /// hash). Each popped channel batch is scattered by partition and
 /// appended with one AppendBatch per touched partition, so the fsync
-/// amortization of LogSink is preserved per partition. Registers
+/// amortization of LogSink is preserved per partition, and a partial
+/// batch is appended as soon as the input goes idle. Registers
 /// `stage.name` (default "mlog.psink") exposing the topic's aggregated
-/// counters; append failures — mid-stream or on the final tail flush —
-/// become a sticky stage error exactly as in LogSink. The topic must
-/// outlive the pipeline run.
+/// counters; append failures become a sticky stage error exactly as in
+/// LogSink. The topic must outlive the pipeline run.
 inline void PartitionedLogSink(stream::Flow<stream::Record> flow,
                                PartitionedLog* topic, RecordKeyFn key_fn,
                                stream::StageOptions stage = {}) {
@@ -194,38 +177,25 @@ inline void PartitionedLogSink(stream::Flow<stream::Record> flow,
       1, stage.batch.value_or(stream::BatchPolicy::Batched(256)).PopMax());
   pipeline->AddThread([in, topic, key_fn = std::move(key_fn), batch_size,
                        error] {
-    std::vector<stream::Record> batch;
-    batch.reserve(batch_size);
     std::vector<std::vector<stream::Record>> scatter(topic->partition_count());
-    // Scatters the staged batch by partition and appends each partition's
-    // share; the first failing partition's status wins (the rest are
-    // still attempted so healthy partitions keep their data).
-    auto append_scattered = [&]() -> Status {
-      for (stream::Record& r : batch) {
-        scatter[topic->PartitionFor(key_fn(r))].push_back(std::move(r));
-      }
-      batch.clear();
-      Status first;
-      for (size_t p = 0; p < scatter.size(); ++p) {
-        if (scatter[p].empty()) continue;
-        Status s = topic->partition(p)->AppendBatch(scatter[p]).status();
-        scatter[p].clear();
-        if (first.ok() && !s.ok()) first = std::move(s);
-      }
-      return first;
-    };
-    while (true) {
-      if (in->PopBatch(&batch, batch_size - batch.size()) == 0) break;
-      if (batch.size() < batch_size) continue;
-      if (Status s = append_scattered(); !s.ok()) {
-        error->Set(s.ToString());
-        in->CloseAndDrain();  // propagate failure upstream
-        return;
-      }
-    }
-    if (!batch.empty()) {
-      if (Status s = append_scattered(); !s.ok()) error->Set(s.ToString());
-    }
+    // Scatters each drained batch by partition and appends each
+    // partition's share; the first failing partition's status wins (the
+    // rest are still attempted so healthy partitions keep their data).
+    stream::DrainInBatches(
+        in, batch_size, [&](std::vector<stream::Record>& batch) {
+          for (stream::Record& r : batch) {
+            scatter[topic->PartitionFor(key_fn(r))].push_back(std::move(r));
+          }
+          Status first;
+          for (size_t p = 0; p < scatter.size(); ++p) {
+            if (scatter[p].empty()) continue;
+            Status s = topic->partition(p)->AppendBatch(scatter[p]).status();
+            scatter[p].clear();
+            if (first.ok() && !s.ok()) first = std::move(s);
+          }
+          if (!first.ok()) error->Set(first.ToString());
+          return first.ok();
+        });
   });
 }
 

@@ -15,9 +15,11 @@ namespace tcmf::store {
 /// that lets rdf::TripleGeneratorStage / rdf::SemanticTrajectoryStage
 /// stream-populate the knowledge store (Figure 2's RDFizer → RDF store
 /// edge) instead of materializing triples and bulk-loading. The drain
-/// uses the channel's batched pop (batch size = `stage.batch`'s PopMax,
-/// default Batched(256)), so ingesting a batch costs one lock
-/// acquisition per available chunk, mirroring mlog::LogSink.
+/// uses the channel's batched pop (at most `stage.batch`'s PopMax per
+/// batch, default Batched(256)), so ingesting a batch costs one lock
+/// acquisition, mirroring mlog::LogSink. A partial batch is added as soon
+/// as the input goes idle (stream::DrainInBatches), so triples of a
+/// trickling stream reach the store before end-of-stream.
 ///
 /// Registers a `stage.name` stage (default "store.kgsink") whose
 /// snapshot splices the store's cumulative StoreCounters into the kg_*
@@ -50,15 +52,10 @@ inline void KgStoreSink(stream::Flow<rdf::Triple> flow, KnowledgeStore* store,
   const size_t batch_size = std::max<size_t>(
       1, stage.batch.value_or(stream::BatchPolicy::Batched(256)).PopMax());
   pipeline->AddThread([in, store, batch_size] {
-    std::vector<rdf::Triple> batch;
-    batch.reserve(batch_size);
-    while (true) {
-      if (in->PopBatch(&batch, batch_size - batch.size()) == 0) break;
-      if (batch.size() < batch_size) continue;
+    stream::DrainInBatches(in, batch_size, [store](std::vector<rdf::Triple>& batch) {
       for (const rdf::Triple& t : batch) store->Add(t);
-      batch.clear();
-    }
-    for (const rdf::Triple& t : batch) store->Add(t);
+      return true;
+    });
   });
 }
 

@@ -175,14 +175,14 @@ class Channel {
   /// additionally returns after `timeout` with nothing appended while the
   /// channel is still open. kItem ⇒ ≥1 element appended (`*n_out`, if
   /// non-null, receives the count); kEmpty ⇒ timed out, try again later;
-  /// kClosed ⇒ end-of-stream.
+  /// kClosed ⇒ end-of-stream. A zero timeout polls without blocking.
   PollStatus PopBatchFor(std::vector<T>* out, size_t max_n,
                          std::chrono::milliseconds timeout,
                          size_t* n_out = nullptr) {
     size_t got = 0;
     {
       std::unique_lock<std::mutex> lock(mutex_);
-      if (!closed_ && queue_.empty()) {
+      if (!closed_ && queue_.empty() && timeout.count() > 0) {
         const auto t0 = std::chrono::steady_clock::now();
         not_empty_.wait_for(lock, timeout,
                             [this] { return closed_ || !queue_.empty(); });

@@ -2,6 +2,7 @@
 #define TCMF_STREAM_METRICS_H_
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <mutex>
@@ -11,7 +12,7 @@
 namespace tcmf::stream {
 
 /// Minimal JSON string escape (quotes, backslashes, control bytes) for
-/// the error messages embedded in StageMetrics::ToJson().
+/// the stage names and error messages embedded in StageMetrics::ToJson().
 inline std::string JsonEscape(const std::string& s) {
   std::string out;
   out.reserve(s.size());
@@ -147,90 +148,85 @@ struct StageMetrics {
 
   /// Single JSON object (no trailing newline). Tuned edges append the
   /// tuner_* block so every controller decision is observable downstream
-  /// (bench_micro JSON rows, tools/bench_check.py relative gates).
+  /// (bench_micro JSON rows, tools/bench_check.py relative gates). Every
+  /// string goes through JsonEscape and nothing is cut to a fixed buffer,
+  /// so the output is valid JSON for any stage name or error text.
   std::string ToJson() const {
-    char buf[2048];
-    int n = std::snprintf(
-        buf, sizeof(buf),
-        "{\"stage\":\"%s\",\"records_in\":%llu,\"records_out\":%llu,"
-        "\"batches_in\":%llu,\"batches_out\":%llu,"
-        "\"mean_batch_in\":%.2f,\"mean_batch_out\":%.2f,"
-        "\"queue_high_watermark\":%llu,\"capacity\":%llu,"
-        "\"producer_blocked_ns\":%llu,"
-        "\"consumer_blocked_ns\":%llu,\"push_rejected\":%llu,"
-        "\"dropped_on_cancel\":%llu,\"late_dropped\":%llu,"
-        "\"cancelled\":%s,\"bytes\":%llu,\"io_syncs\":%llu,"
-        "\"recovered\":%llu,\"truncated_bytes\":%llu,\"tuned\":%s",
-        stage.c_str(), static_cast<unsigned long long>(records_in),
-        static_cast<unsigned long long>(records_out),
-        static_cast<unsigned long long>(batches_in),
-        static_cast<unsigned long long>(batches_out),
-        MeanBatchIn(), MeanBatchOut(),
-        static_cast<unsigned long long>(queue_high_watermark),
-        static_cast<unsigned long long>(capacity),
-        static_cast<unsigned long long>(producer_blocked_ns),
-        static_cast<unsigned long long>(consumer_blocked_ns),
-        static_cast<unsigned long long>(push_rejected),
-        static_cast<unsigned long long>(dropped_on_cancel),
-        static_cast<unsigned long long>(late_dropped),
-        cancelled ? "true" : "false",
-        static_cast<unsigned long long>(bytes),
-        static_cast<unsigned long long>(io_syncs),
-        static_cast<unsigned long long>(recovered),
-        static_cast<unsigned long long>(truncated_bytes),
-        tuned ? "true" : "false");
-    if (kg && n > 0 && static_cast<size_t>(n) < sizeof(buf)) {
-      n += std::snprintf(
-          buf + n, sizeof(buf) - n,
-          ",\"kg\":true,\"kg_triples_added\":%llu,"
-          "\"kg_star_queries\":%llu,\"kg_star_rows\":%llu,"
-          "\"kg_triples_scanned\":%llu,\"kg_st_filter_evaluations\":%llu",
-          static_cast<unsigned long long>(kg_triples_added),
-          static_cast<unsigned long long>(kg_star_queries),
-          static_cast<unsigned long long>(kg_star_rows),
-          static_cast<unsigned long long>(kg_triples_scanned),
-          static_cast<unsigned long long>(kg_st_filter_evaluations));
+    std::string out = "{\"stage\":\"" + JsonEscape(stage) + '"';
+    auto u64 = [&out](const char* key, uint64_t v) {
+      out += ",\"";
+      out += key;
+      out += "\":";
+      out += std::to_string(v);
+    };
+    auto fixed = [&out](const char* key, double v, int digits) {
+      out += ",\"";
+      out += key;
+      out += "\":";
+      if (!std::isfinite(v)) {
+        out += "null";  // JSON has no NaN/Infinity literals
+        return;
+      }
+      const int len = std::snprintf(nullptr, 0, "%.*f", digits, v);
+      const size_t at = out.size();
+      out.resize(at + len + 1);
+      std::snprintf(&out[at], len + 1, "%.*f", digits, v);
+      out.resize(at + len);
+    };
+    auto flag = [&out](const char* key, bool v) {
+      out += ",\"";
+      out += key;
+      out += v ? "\":true" : "\":false";
+    };
+    u64("records_in", records_in);
+    u64("records_out", records_out);
+    u64("batches_in", batches_in);
+    u64("batches_out", batches_out);
+    fixed("mean_batch_in", MeanBatchIn(), 2);
+    fixed("mean_batch_out", MeanBatchOut(), 2);
+    u64("queue_high_watermark", queue_high_watermark);
+    u64("capacity", capacity);
+    u64("producer_blocked_ns", producer_blocked_ns);
+    u64("consumer_blocked_ns", consumer_blocked_ns);
+    u64("push_rejected", push_rejected);
+    u64("dropped_on_cancel", dropped_on_cancel);
+    u64("late_dropped", late_dropped);
+    flag("cancelled", cancelled);
+    u64("bytes", bytes);
+    u64("io_syncs", io_syncs);
+    u64("recovered", recovered);
+    u64("truncated_bytes", truncated_bytes);
+    flag("tuned", tuned);
+    if (kg) {
+      flag("kg", true);
+      u64("kg_triples_added", kg_triples_added);
+      u64("kg_star_queries", kg_star_queries);
+      u64("kg_star_rows", kg_star_rows);
+      u64("kg_triples_scanned", kg_triples_scanned);
+      u64("kg_st_filter_evaluations", kg_st_filter_evaluations);
     }
-    if (tuned && n > 0 && static_cast<size_t>(n) < sizeof(buf)) {
-      n += std::snprintf(
-          buf + n, sizeof(buf) - n,
-          ",\"tuner_target_batch\":%llu,\"tuner_min_batch\":%llu,"
-          "\"tuner_batch_cap\":%llu,\"tuner_samples\":%llu,"
-          "\"tuner_adjust_up\":%llu,\"tuner_adjust_down\":%llu,"
-          "\"tuner_converged_batch\":%llu,"
-          "\"tuner_mean_push_batch\":%.2f,\"tuner_pop_ms\":%.3f",
-          static_cast<unsigned long long>(tuner_target_batch),
-          static_cast<unsigned long long>(tuner_min_batch),
-          static_cast<unsigned long long>(tuner_batch_cap),
-          static_cast<unsigned long long>(tuner_samples),
-          static_cast<unsigned long long>(tuner_adjust_up),
-          static_cast<unsigned long long>(tuner_adjust_down),
-          static_cast<unsigned long long>(tuner_converged_batch),
-          tuner_mean_push_batch, tuner_pop_ms);
+    if (tuned) {
+      u64("tuner_target_batch", tuner_target_batch);
+      u64("tuner_min_batch", tuner_min_batch);
+      u64("tuner_batch_cap", tuner_batch_cap);
+      u64("tuner_samples", tuner_samples);
+      u64("tuner_adjust_up", tuner_adjust_up);
+      u64("tuner_adjust_down", tuner_adjust_down);
+      u64("tuner_converged_batch", tuner_converged_batch);
+      fixed("tuner_mean_push_batch", tuner_mean_push_batch, 2);
+      fixed("tuner_pop_ms", tuner_pop_ms, 3);
     }
-    if (capacity_tuned && n > 0 && static_cast<size_t>(n) < sizeof(buf)) {
-      n += std::snprintf(
-          buf + n, sizeof(buf) - n,
-          ",\"capacity_tuned\":true,\"capacity_min\":%llu,"
-          "\"capacity_max\":%llu,\"capacity_resize_up\":%llu,"
-          "\"capacity_resize_down\":%llu,\"capacity_converged\":%llu",
-          static_cast<unsigned long long>(capacity_min),
-          static_cast<unsigned long long>(capacity_max),
-          static_cast<unsigned long long>(capacity_resize_up),
-          static_cast<unsigned long long>(capacity_resize_down),
-          static_cast<unsigned long long>(capacity_converged));
+    if (capacity_tuned) {
+      flag("capacity_tuned", true);
+      u64("capacity_min", capacity_min);
+      u64("capacity_max", capacity_max);
+      u64("capacity_resize_up", capacity_resize_up);
+      u64("capacity_resize_down", capacity_resize_down);
+      u64("capacity_converged", capacity_converged);
     }
-    if (!error.empty() && n > 0 && static_cast<size_t>(n) < sizeof(buf)) {
-      n += std::snprintf(buf + n, sizeof(buf) - n, ",\"error\":\"%s\"",
-                         JsonEscape(error).c_str());
-    }
-    std::string out(buf,
-                    n > 0 ? std::min(static_cast<size_t>(n), sizeof(buf) - 1)
-                          : 0);
+    if (!error.empty()) out += ",\"error\":\"" + JsonEscape(error) + '"';
     if (!worker_edges.empty()) {
-      char tail[48];
-      std::snprintf(tail, sizeof(tail), ",\"skew_ratio\":%.2f", skew_ratio);
-      out += tail;
+      fixed("skew_ratio", skew_ratio, 2);
       out += ",\"worker_edges\":[";
       for (size_t i = 0; i < worker_edges.size(); ++i) {
         if (i) out += ',';

@@ -209,9 +209,14 @@ std::shared_ptr<BatchTuner> MakeTuner(const BatchPolicy& policy,
 /// Closing the *output* channel is the caller's responsibility (shared
 /// outputs — KeyedProcessParallel — are closed by the last worker).
 ///
-/// In batched mode the loop uses the timed PopBatchFor while outputs are
-/// staged so a partially-filled batch is flushed after `max_linger_ms`
-/// even when the input goes quiet (linger < 0 disables the timer).
+/// In batched mode staged outputs flush when the batch is full, when the
+/// input goes idle, when the linger/latency-budget deadline passes, or at
+/// end-of-stream (smart batching, as in the LMAX Disruptor): while outputs
+/// are staged the loop polls the input without blocking, and an empty
+/// poll flushes the partial batch before the loop blocks for more input.
+/// Under load the input stays non-empty and batches fill; at a trickle
+/// every record crosses the edge at once. The deadline only matters while
+/// input keeps arriving without filling the batch.
 ///
 /// `in_tuner` is the adaptive controller of the INPUT edge (nullptr for
 /// static edges): when set, the pop size tracks the live tuner target
@@ -237,11 +242,11 @@ void RunStage(const std::shared_ptr<Channel<In>>& in,
       batch.clear();
       const size_t want = in_tuner ? in_tuner->target() : policy.PopMax();
       size_t n = 0;
-      if (emitter.has_pending() && policy.LingerEnabled()) {
-        const PollStatus status =
-            in->PopBatchFor(&batch, want, emitter.LingerRemaining(), &n);
+      if (emitter.has_pending()) {
+        const PollStatus status = in->PopBatchFor(
+            &batch, want, std::chrono::milliseconds(0), &n);
         if (status == PollStatus::kEmpty) {
-          // Linger expired with staged outputs: flush the partial batch.
+          // Idle input: never hold staged outputs while waiting for more.
           if (!emitter.Flush()) open = false;
           continue;
         }
@@ -256,6 +261,10 @@ void RunStage(const std::shared_ptr<Channel<In>>& in,
           break;
         }
       }
+      if (open && emitter.has_pending() && policy.LingerEnabled() &&
+          emitter.LingerRemaining() <= std::chrono::milliseconds(0)) {
+        if (!emitter.Flush()) open = false;
+      }
     }
   }
   if (!open) in->CloseAndDrain();  // propagate cancellation upstream
@@ -264,6 +273,27 @@ void RunStage(const std::shared_ptr<Channel<In>>& in,
 }
 
 }  // namespace internal
+
+/// The drain loop of batch-consuming terminal stages (mlog::LogSink,
+/// mlog::PartitionedLogSink, store::KgStoreSink): blocks until input is
+/// queued, then hands `consume(std::vector<T>&) -> bool` everything queued
+/// up to `max_n` elements as one batch. A batch is passed on when it is
+/// full or the input goes idle, never held back waiting to fill: group
+/// commit under load, no stranded records at a trickle. `consume`
+/// returning false (the stage failed) cancels `in` so upstream unblocks.
+template <typename T, typename Consume>
+void DrainInBatches(const std::shared_ptr<Channel<T>>& in, size_t max_n,
+                    Consume&& consume) {
+  std::vector<T> batch;
+  batch.reserve(max_n);
+  while (in->PopBatch(&batch, max_n) > 0) {
+    if (!consume(batch)) {
+      in->CloseAndDrain();  // propagate the failure upstream
+      return;
+    }
+    batch.clear();
+  }
+}
 
 /// Owns the threads of a dataflow job. Build a graph with Flow<T>, then
 /// Run() blocks until every source is exhausted and every stage has

@@ -25,9 +25,14 @@ namespace tcmf::stream {
 /// channel transfer (1 = the record-at-a-time path, bit-compatible with
 /// the pre-batching runtime); `max_linger_ms` bounds how long a
 /// partially-filled output batch may be held back waiting to fill up —
-/// the classic throughput/latency linger knob (Kafka `linger.ms`). A
-/// negative linger means "flush only when the batch is full or the
-/// stream ends" (maximum amortization, unbounded staging latency).
+/// the classic throughput/latency linger knob (Kafka `linger.ms`).
+/// Operator stages flush a partial batch as soon as their input goes
+/// idle (internal::RunStage), so the linger is a bound that only applies
+/// while input keeps arriving without filling the batch; generator
+/// sources, which have no input to watch, flush on it directly. A
+/// negative linger removes the deadline: operator stages then flush when
+/// full, on an idle input or at end-of-stream, generator sources only
+/// when full or at end-of-stream.
 ///
 /// Adaptive mode (`max_batch_cap > min_batch`, build with `Adaptive()`):
 /// `max_batch` is only the *seed*; every operator edge gets a private
@@ -44,7 +49,8 @@ namespace tcmf::stream {
 /// same output multiset as record-at-a-time execution.
 struct BatchPolicy {
   size_t max_batch = 1;      ///< per-transfer element cap (adaptive: seed)
-  int64_t max_linger_ms = 5; ///< partial-batch flush bound (<0 = never)
+  int64_t max_linger_ms = 5; ///< partial-batch deadline while input keeps
+                             ///< arriving (<0 = none; idle input flushes)
 
   /// Worst-case *staging* latency contract for this edge, in ms (<0 = no
   /// contract). When set, the effective linger applied to a partial batch

@@ -15,6 +15,7 @@
 #include "stream/pipeline.h"
 #include "stream/record.h"
 #include "stream/window.h"
+#include "strict_json.h"
 
 namespace tcmf::stream {
 namespace {
@@ -1015,6 +1016,77 @@ TEST(WindowTest, MultipleWindowsCloseInOrder) {
   for (auto& c : closed) starts.push_back(c.window_start);
   // First two closed earlier; ensure ordering is non-decreasing overall.
   EXPECT_TRUE(std::is_sorted(starts.begin(), starts.end()));
+}
+
+// ------------------------------------------------ StageMetrics::ToJson
+
+TEST(StageMetricsJsonTest, AdversarialStageNameStaysValidJson) {
+  StageMetrics m;
+  m.stage = "bad\"name\\with\ncontrol\x01" "bytes";
+  m.records_in = 7;
+  const std::string json = m.ToJson();
+  EXPECT_EQ(testing::StrictJson::Check(json), "") << json;
+  EXPECT_NE(json.find(R"("stage":"bad\"name\\with\ncontrol\u0001bytes")"),
+            std::string::npos)
+      << json;
+
+  // The same name reaches ReportJson through a real pipeline.
+  Pipeline pipeline;
+  std::vector<int> out;
+  Flow<int>::FromVector(&pipeline, {1, 2, 3}, {.name = "bad\"name"})
+      .CollectInto(&out);
+  pipeline.Run();
+  const std::string report = pipeline.ReportJson();
+  EXPECT_EQ(testing::StrictJson::Check(report), "") << report;
+  EXPECT_NE(report.find(R"("stage":"bad\"name")"), std::string::npos)
+      << report;
+}
+
+TEST(StageMetricsJsonTest, LongErrorIsNotTruncated) {
+  StageMetrics m;
+  m.stage = "mlog.sink";
+  // ~3 KB with characters that need escaping, past the size of any
+  // fixed formatting buffer; every optional block is on as well.
+  std::string error = "IoError: ";
+  while (error.size() < 3000) error += "disk \"full\" \\ retry; ";
+  m.error = error;
+  m.kg = true;
+  m.tuned = true;
+  m.capacity_tuned = true;
+  m.worker_edges.resize(2);
+  m.worker_edges[0].stage = "keyed.w0";
+  m.worker_edges[1].stage = "keyed.w\"1";
+  m.worker_edges[1].error = error;
+  const std::string json = m.ToJson();
+  EXPECT_EQ(testing::StrictJson::Check(json), "") << json;
+  const std::string escaped = "\"error\":\"" + JsonEscape(error) + "\"";
+  EXPECT_NE(json.find(escaped), std::string::npos);
+  EXPECT_NE(json.find(escaped, json.find("worker_edges")), std::string::npos);
+  EXPECT_EQ(json.back(), '}');
+}
+
+TEST(StageMetricsJsonTest, NonFiniteFieldsRenderAsNull) {
+  StageMetrics m;
+  m.stage = "s";
+  m.tuned = true;
+  m.tuner_mean_push_batch = std::numeric_limits<double>::quiet_NaN();
+  m.tuner_pop_ms = std::numeric_limits<double>::infinity();
+  const std::string json = m.ToJson();
+  EXPECT_EQ(testing::StrictJson::Check(json), "") << json;
+  EXPECT_NE(json.find("\"tuner_mean_push_batch\":null"), std::string::npos);
+  EXPECT_NE(json.find("\"tuner_pop_ms\":null"), std::string::npos);
+}
+
+TEST(StageMetricsJsonTest, StrictCheckerRejectsMalformedJson) {
+  // The checker itself must catch what the old formatter produced.
+  EXPECT_NE(testing::StrictJson::Check(R"({"stage":"bad"name"})"), "");
+  EXPECT_NE(testing::StrictJson::Check(R"({"error":"cut mid-str)"), "");
+  EXPECT_NE(testing::StrictJson::Check(R"({"x":nan})"), "");
+  EXPECT_NE(testing::StrictJson::Check("{\"s\":\"a\nb\"}"), "");
+  EXPECT_NE(testing::StrictJson::Check(R"({"a":1,})"), "");
+  EXPECT_NE(testing::StrictJson::Check(R"({"a":1} x)"), "");
+  EXPECT_EQ(testing::StrictJson::Check(R"({"a":[1,-2.5e3,true,null,"\u00e9"]})"),
+            "");
 }
 
 }  // namespace
