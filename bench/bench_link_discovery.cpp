@@ -15,11 +15,19 @@
 // linkdiscovery enforces both, plus the matches-equal differential
 // invariant, from BENCH_linkdiscovery.json.
 
+// The streaming-window arm replays what the two stream consumers of the
+// index really do: a fleet feed through a linker-shaped loop (probe,
+// insert, evict every 256 reports; ~1.4k live points) and a CPA-shaped
+// loop (probe, remove the entity's previous point, insert). There the
+// per-report insert and removal dominate, not the probe. bench_check.py
+// gates only that both backends visit the same points.
+
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "datagen/areas.h"
@@ -27,6 +35,8 @@
 #include "geom/rtree.h"
 #include "geom/spatial_index.h"
 #include "linkdiscovery/linker.h"
+#include "scenario/fleet.h"
+#include "stream/record.h"
 #include "synopses/critical_points.h"
 
 using namespace tcmf;
@@ -188,7 +198,127 @@ std::vector<IndexRow> RunIndexSweep(bool smoke) {
   return rows;
 }
 
-void WriteJson(const std::vector<IndexRow>& rows) {
+struct StreamRow {
+  std::string name;  // linkdiscovery/stream_<link|cpa>/<backend>
+  size_t reports = 0;
+  double radius_m = 0.0;
+  double mean_live = 0.0;  // index size() averaged over reports
+  double us_per_report = 0.0;
+  unsigned long long visits = 0;  // probe hits other than the reporter
+};
+
+/// Position reports of one seeded hour of the default fleet mix (AIS and
+/// ADS-B; weather cells carry no position).
+std::vector<Position> FleetPositions() {
+  scenario::FleetMix mix;
+  mix.seed = 1;
+  std::vector<Position> out;
+  for (const scenario::FleetEvent& ev : scenario::MakeFleet(mix)) {
+    if (ev.record.GetString("source").value_or("") == "weather") continue;
+    out.push_back(stream::RecordToPosition(ev.record));
+  }
+  return out;
+}
+
+/// One pass of the feed through a fresh index, shaped like
+/// SpatioTemporalLinker's moving-pair path (`cpa == false`) or like
+/// CpaScreen (`cpa == true`). Returns the visit count; adds the summed
+/// live-set size to `*live_sum`.
+unsigned long long StreamPass(const std::vector<Position>& feed, bool cpa,
+                              geom::SpatialBackend backend,
+                              const geom::SpatialIndexConfig& config,
+                              double radius_m, TimeMs window_ms,
+                              double* live_sum) {
+  auto index = geom::MakeSpatialIndex(backend, config);
+  std::unordered_map<uint64_t, geom::IndexPoint> latest;
+  unsigned long long visits = 0;
+  int since_evict = 0;
+  for (const Position& p : feed) {
+    geom::IndexPoint point{p.entity_id, p.t, p.lon, p.lat};
+    index->VisitWithinRadius(p.lon, p.lat, radius_m,
+                             cpa ? geom::kTimeMin : p.t - window_ms,
+                             [&](const geom::IndexPoint& e) {
+                               if (e.id != p.entity_id) ++visits;
+                             });
+    if (cpa) {
+      auto [it, first] = latest.try_emplace(p.entity_id, point);
+      if (!first) {
+        index->Remove(it->second);
+        it->second = point;
+      }
+    }
+    index->Insert(point);
+    if (!cpa && ++since_evict >= 256) {
+      since_evict = 0;
+      index->EvictBefore(p.t - window_ms);
+    }
+    *live_sum += static_cast<double>(index->size());
+  }
+  return visits;
+}
+
+std::vector<StreamRow> RunStreamSweep() {
+  const std::vector<Position> feed = FleetPositions();
+  // The fig2 benchmark's settings: the linker probes 3 km over a 2 min
+  // window on a 64x64 grid of its extent; CPA probes 10 km with the
+  // default index config.
+  struct Shape {
+    const char* name;
+    bool cpa;
+    double radius_m;
+    geom::SpatialIndexConfig config;
+  };
+  geom::SpatialIndexConfig link_config;
+  link_config.extent = {-10.0, 34.0, 10.0, 45.0};
+  const Shape shapes[] = {
+      {"stream_link", false, 3000.0, link_config},
+      {"stream_cpa", true, 10000.0, {}},
+  };
+  const TimeMs window_ms = 2 * kMillisPerMinute;
+
+  std::vector<StreamRow> rows;
+  std::printf("=== streaming window: %zu fleet reports ===\n\n",
+              feed.size());
+  std::printf("%-34s %10s %12s %12s\n", "arm", "mean live", "us/report",
+              "visits");
+  for (const Shape& shape : shapes) {
+    for (geom::SpatialBackend backend :
+         {geom::SpatialBackend::kGrid, geom::SpatialBackend::kRtree}) {
+      // Whole passes over fresh indexes until enough wall time
+      // accumulates (see the sweep above).
+      unsigned long long visits = 0;
+      double live_sum = 0.0;
+      size_t reps = 0;
+      double t0 = NowMs();
+      double elapsed_ms = 0.0;
+      do {
+        live_sum = 0.0;
+        visits = StreamPass(feed, shape.cpa, backend, shape.config,
+                            shape.radius_m, window_ms, &live_sum);
+        ++reps;
+        elapsed_ms = NowMs() - t0;
+      } while (elapsed_ms < 250.0);
+
+      StreamRow row;
+      row.name = std::string("linkdiscovery/") + shape.name + "/" +
+                 geom::ToString(backend);
+      row.reports = feed.size();
+      row.radius_m = shape.radius_m;
+      row.mean_live = live_sum / static_cast<double>(feed.size());
+      row.us_per_report = elapsed_ms * 1000.0 /
+                          static_cast<double>(reps * feed.size());
+      row.visits = visits;
+      std::printf("%-34s %10.0f %12.3f %12llu\n", row.name.c_str(),
+                  row.mean_live, row.us_per_report, visits);
+      rows.push_back(row);
+    }
+  }
+  std::printf("\n");
+  return rows;
+}
+
+void WriteJson(const std::vector<IndexRow>& rows,
+               const std::vector<StreamRow>& stream_rows) {
   std::FILE* f = std::fopen("BENCH_linkdiscovery.json", "w");
   if (!f) return;
   const unsigned hw = std::thread::hardware_concurrency();
@@ -201,7 +331,17 @@ void WriteJson(const std::vector<IndexRow>& rows) {
                  "\"queries_per_s\": %.1f, \"matches\": %llu}%s\n",
                  r.name.c_str(), hw, r.points, r.queries, r.radius_m,
                  r.build_ms, r.queries_per_s, r.matches,
-                 i + 1 < rows.size() ? "," : "");
+                 i + 1 < rows.size() || !stream_rows.empty() ? "," : "");
+  }
+  for (size_t i = 0; i < stream_rows.size(); ++i) {
+    const StreamRow& r = stream_rows[i];
+    std::fprintf(f,
+                 "  {\"name\": \"%s\", \"hw_threads\": %u, \"reports\": %zu, "
+                 "\"radius_m\": %.1f, \"mean_live\": %.1f, "
+                 "\"us_per_report\": %.3f, \"visits\": %llu}%s\n",
+                 r.name.c_str(), hw, r.reports, r.radius_m, r.mean_live,
+                 r.us_per_report, r.visits,
+                 i + 1 < stream_rows.size() ? "," : "");
   }
   std::fprintf(f, "]\n");
   std::fclose(f);
@@ -240,8 +380,9 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
   }
 
-  WriteJson(RunIndexSweep(smoke));
-  if (smoke) return 0;  // CI smoke: the gated sweep only
+  std::vector<IndexRow> index_rows = RunIndexSweep(smoke);
+  WriteJson(index_rows, RunStreamSweep());
+  if (smoke) return 0;  // CI smoke: the gated sweeps only
 
   std::printf("\n=== Section 4.2.4: spatio-temporal link discovery ===\n\n");
 

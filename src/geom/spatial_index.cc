@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_map>
 
 #include "geom/geo.h"
 #include "geom/grid.h"
@@ -33,14 +32,22 @@ BBox DilatedBox(double lon, double lat, double radius_m) {
   return BBox{lon - dlon, lat - dlat, lon + dlon, lat + dlat};
 }
 
+/// Removes one element equal to `p` from `points` (order is not kept:
+/// visiting order is unspecified anyway); false when none matches.
+bool RemoveOne(std::vector<IndexPoint>& points, const IndexPoint& p) {
+  auto it = std::find(points.begin(), points.end(), p);
+  if (it == points.end()) return false;
+  *it = points.back();
+  points.pop_back();
+  return true;
+}
+
 class ScanIndex final : public SpatialIndex {
  public:
   void Insert(const IndexPoint& p) override { points_.push_back(p); }
 
-  size_t RemoveId(uint64_t id) override {
-    size_t before = points_.size();
-    std::erase_if(points_, [id](const IndexPoint& p) { return p.id == id; });
-    return before - points_.size();
+  bool Remove(const IndexPoint& p) override {
+    return RemoveOne(points_, p);
   }
 
   size_t EvictBefore(TimeMs cutoff) override {
@@ -77,15 +84,10 @@ class GridIndex final : public SpatialIndex {
     ++size_;
   }
 
-  size_t RemoveId(uint64_t id) override {
-    size_t removed = 0;
-    for (auto& cell : cells_) {
-      size_t before = cell.size();
-      std::erase_if(cell, [id](const IndexPoint& p) { return p.id == id; });
-      removed += before - cell.size();
-    }
-    size_ -= removed;
-    return removed;
+  bool Remove(const IndexPoint& p) override {
+    if (!RemoveOne(cells_[grid_.CellOf(p.lon, p.lat)], p)) return false;
+    --size_;
+    return true;
   }
 
   size_t EvictBefore(TimeMs cutoff) override {
@@ -106,11 +108,18 @@ class GridIndex final : public SpatialIndex {
     // CellOf clamps monotonically, so every stored point inside the
     // dilated box (even out-of-extent ones clamped to edge cells) lives
     // in a cell this sweep visits — the exact-filter contract holds.
-    for (uint32_t cell : grid_.CellsIntersecting(
-             DilatedBox(lon, lat, radius_m))) {
-      for (const IndexPoint& p : cells_[cell]) {
-        if (p.t < min_t) continue;
-        if (HaversineM(lon, lat, p.lon, p.lat) <= radius_m) fn(p);
+    // The clamped col/row range is walked in place: a probe allocates
+    // nothing.
+    BBox box = DilatedBox(lon, lat, radius_m);
+    uint32_t c0, r0, c1, r1;
+    grid_.ColRowOf(box.min_lon, box.min_lat, &c0, &r0);
+    grid_.ColRowOf(box.max_lon, box.max_lat, &c1, &r1);
+    for (uint32_t r = r0; r <= r1; ++r) {
+      for (uint32_t c = c0; c <= c1; ++c) {
+        for (const IndexPoint& p : cells_[grid_.CellIndex(c, r)]) {
+          if (p.t < min_t) continue;
+          if (HaversineM(lon, lat, p.lon, p.lat) <= radius_m) fn(p);
+        }
       }
     }
   }
@@ -131,28 +140,13 @@ class RtreeIndex final : public SpatialIndex {
     if (bulk.empty()) return;
     std::vector<RtreeItem> items;
     items.reserve(bulk.size());
-    for (const IndexPoint& p : bulk) {
-      items.push_back({StBox::Point(p.lon, p.lat, p.t), p.id});
-      by_id_.emplace(p.id, StBox::Point(p.lon, p.lat, p.t));
-    }
+    for (const IndexPoint& p : bulk) items.push_back(Item(p));
     tree_ = RStarTree::BulkLoad(std::move(items), config.rtree);
   }
 
-  void Insert(const IndexPoint& p) override {
-    StBox box = StBox::Point(p.lon, p.lat, p.t);
-    tree_.Insert({box, p.id});
-    by_id_.emplace(p.id, box);
-  }
+  void Insert(const IndexPoint& p) override { tree_.Insert(Item(p)); }
 
-  size_t RemoveId(uint64_t id) override {
-    auto [first, last] = by_id_.equal_range(id);
-    size_t removed = 0;
-    for (auto it = first; it != last; ++it) {
-      if (tree_.Remove({it->second, id})) ++removed;
-    }
-    by_id_.erase(first, last);
-    return removed;
-  }
+  bool Remove(const IndexPoint& p) override { return tree_.Remove(Item(p)); }
 
   size_t EvictBefore(TimeMs cutoff) override {
     if (cutoff == kTimeMin) return 0;
@@ -164,16 +158,7 @@ class RtreeIndex final : public SpatialIndex {
     std::vector<RtreeItem> stale;
     tree_.Range(stale_window,
                 [&](const RtreeItem& it) { stale.push_back(it); });
-    for (const RtreeItem& it : stale) {
-      tree_.Remove(it);
-      auto [first, last] = by_id_.equal_range(it.id);
-      for (auto m = first; m != last; ++m) {
-        if (m->second == it.box) {
-          by_id_.erase(m);
-          break;
-        }
-      }
-    }
+    for (const RtreeItem& it : stale) tree_.Remove(it);
     return stale.size();
   }
 
@@ -191,11 +176,12 @@ class RtreeIndex final : public SpatialIndex {
   size_t size() const override { return tree_.size(); }
   const char* name() const override { return "rtree"; }
 
-  const RStarTree& tree() const { return tree_; }
-
  private:
+  static RtreeItem Item(const IndexPoint& p) {
+    return {StBox::Point(p.lon, p.lat, p.t), p.id};
+  }
+
   RStarTree tree_;
-  std::unordered_multimap<uint64_t, StBox> by_id_;
 };
 
 }  // namespace

@@ -56,8 +56,12 @@ class SpatialIndex {
   virtual ~SpatialIndex() = default;
 
   virtual void Insert(const IndexPoint& p) = 0;
-  /// Removes every stored point with this id; returns how many.
-  virtual size_t RemoveId(uint64_t id) = 0;
+  /// Removes one stored point equal to `p` (same id, time and exact
+  /// coordinates); returns false when none is stored. Consumers that keep
+  /// one point per entity pass the previous point they inserted: the
+  /// grid then searches one cell, the rtree only the nodes whose box
+  /// contains the point.
+  virtual bool Remove(const IndexPoint& p) = 0;
   /// Removes every stored point with t < cutoff; returns how many.
   virtual size_t EvictBefore(TimeMs cutoff) = 0;
 

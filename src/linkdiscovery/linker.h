@@ -44,9 +44,12 @@ struct LinkerConfig {
   /// Evaluate point-point proximity links.
   bool link_moving_pairs = false;
   /// Index backing point-point candidate generation. All backends
-  /// produce identical links and stats (the SpatialIndex contract);
-  /// kRtree wins on skewed traffic, kGrid on uniform regional traffic.
-  geom::SpatialBackend pair_index = geom::SpatialBackend::kRtree;
+  /// produce identical links and stats (the SpatialIndex contract). The
+  /// stream keeps only the points of the last temporal window, with one
+  /// insert, one probe and amortised eviction per report; there insert
+  /// and eviction dominate and the equi-grid wins (docs/ARCHITECTURE.md
+  /// §6). kRtree wins static hub queries over large point sets.
+  geom::SpatialBackend pair_index = geom::SpatialBackend::kGrid;
 };
 
 /// Counters for throughput/pruning analysis.

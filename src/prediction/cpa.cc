@@ -70,9 +70,13 @@ std::vector<CollisionWarning> CpaScreen::Observe(const Position& p) {
           active_.erase(key);
         }
       });
-  index_->RemoveId(p.entity_id);
+  auto [it, first_report] = latest_.try_emplace(p.entity_id, p);
+  if (!first_report) {
+    const Position& prev = it->second;
+    index_->Remove({p.entity_id, prev.t, prev.lon, prev.lat});
+    it->second = p;
+  }
   index_->Insert({p.entity_id, p.t, p.lon, p.lat});
-  latest_[p.entity_id] = p;
   return warnings;
 }
 

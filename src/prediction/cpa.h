@@ -50,16 +50,19 @@ struct CpaScreenOptions {
   double max_range_m = 20000.0;
   /// Index pruning the per-report range query. Every backend evaluates
   /// exactly the entities within max_range_m, so warnings and
-  /// pairs_evaluated() are backend-independent.
-  geom::SpatialBackend index = geom::SpatialBackend::kRtree;
+  /// pairs_evaluated() are backend-independent. The index holds one point
+  /// per entity and takes one probe, one Remove of the entity's previous
+  /// point and one Insert per report; on that small, churning set the
+  /// equi-grid costs a fraction of the rtree's forced-reinsert inserts
+  /// (docs/ARCHITECTURE.md §6), hence the default.
+  geom::SpatialBackend index = geom::SpatialBackend::kGrid;
   geom::SpatialIndexConfig index_config;
 };
 
 /// Streaming pairwise CPA screen over position reports: tracks the latest
 /// state per entity and evaluates new reports against the entities within
 /// range, found through a SpatialIndex over each entity's latest
-/// position — sub-linear per report on clustered fleets with the rtree
-/// backend.
+/// position.
 class CpaScreen {
  public:
   explicit CpaScreen(const CpaScreenOptions& options)
@@ -74,7 +77,9 @@ class CpaScreen {
 
  private:
   CpaScreenOptions options_;
-  /// Latest position per entity, mirrored into index_ (one point per id).
+  /// Latest position per entity, mirrored into index_ (one point per id:
+  /// Observe removes the previous point, read from here, before it
+  /// inserts the new one).
   std::unique_ptr<geom::SpatialIndex> index_;
   std::unordered_map<uint64_t, Position> latest_;
   /// Pairs currently in the warning state (key = min_id << 32 | max_id).

@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <map>
 #include <numeric>
 #include <set>
 
 #include "common/rng.h"
 #include "geom/geo.h"
+#include "geom/grid.h"
 #include "prediction/clustering.h"
 #include "prediction/cpa.h"
 #include "scenario/fleet.h"
@@ -721,6 +724,114 @@ TEST(CpaBackendEquivTest, IdenticalWarningsOnSeededFleet) {
   EXPECT_GT(scan.pairs_evaluated(), 0u);
   EXPECT_EQ(grid.pairs_evaluated(), scan.pairs_evaluated());
   EXPECT_EQ(rtree.pairs_evaluated(), scan.pairs_evaluated());
+}
+
+// Entities that report again and again, moving across grid cells
+// between reports: the screen must see exactly each entity's latest
+// position. The oracle pairs every report with every other entity's
+// latest report by brute force; a previous point left in the index
+// (e.g. removed from the wrong cell) shows up as an extra pair.
+TEST(CpaBackendEquivTest, RepeatReportsAcrossCellsMatchBruteForce) {
+  CpaScreenOptions options;
+  options.max_range_m = 4000.0;
+  options.dcpa_m = 1500.0;
+  options.tcpa_s = 900.0;
+  options.index_config.extent = {0.0, 0.0, 1.0, 1.0};
+  options.index_config.grid_cols = 64;  // cells ~1.7 km wide
+  options.index_config.grid_rows = 64;
+  const geom::EquiGrid cells(options.index_config.extent,
+                             options.index_config.grid_cols,
+                             options.index_config.grid_rows);
+
+  struct Oracle {
+    CpaScreenOptions options;
+    std::map<uint64_t, Position> latest;
+    std::set<uint64_t> active;
+    size_t pairs = 0;
+
+    std::vector<CollisionWarning> Observe(const Position& p) {
+      std::vector<CollisionWarning> out;
+      for (const auto& [id, other] : latest) {
+        if (id == p.entity_id ||
+            geom::HaversineM(p.lon, p.lat, other.lon, other.lat) >
+                options.max_range_m) {
+          continue;
+        }
+        ++pairs;
+        CpaResult cpa = ComputeCpa(p, other);
+        uint64_t key = (std::min(p.entity_id, id) << 32) |
+                       (std::max(p.entity_id, id) & 0xFFFFFFFF);
+        if (cpa.dcpa_m < options.dcpa_m && cpa.tcpa_s >= 0 &&
+            cpa.tcpa_s < options.tcpa_s) {
+          if (active.insert(key).second) {
+            out.push_back({p.entity_id, id, p.t, cpa});
+          }
+        } else {
+          active.erase(key);
+        }
+      }
+      latest[p.entity_id] = p;
+      return out;
+    }
+  };
+  auto sorted = [](std::vector<CollisionWarning> w) {
+    std::sort(w.begin(), w.end(),
+              [](const CollisionWarning& a, const CollisionWarning& b) {
+                return a.entity_b < b.entity_b;
+              });
+    return w;
+  };
+  auto same = [](const CollisionWarning& a, const CollisionWarning& b) {
+    return a.entity_a == b.entity_a && a.entity_b == b.entity_b &&
+           a.at == b.at && a.cpa.tcpa_s == b.cpa.tcpa_s &&
+           a.cpa.dcpa_m == b.cpa.dcpa_m &&
+           a.cpa.distance_now_m == b.cpa.distance_now_m;
+  };
+
+  for (geom::SpatialBackend backend :
+       {geom::SpatialBackend::kScan, geom::SpatialBackend::kGrid,
+        geom::SpatialBackend::kRtree}) {
+    SCOPED_TRACE(geom::ToString(backend));
+    options.index = backend;
+    CpaScreen screen(options);
+    Oracle oracle{options, {}, {}, 0};
+
+    // 24 entities in a ~33 km square; each report moves its entity
+    // 0.5-3 km, so most reports land in a different cell.
+    Rng rng(4242);
+    std::vector<Position> at(24);
+    for (size_t i = 0; i < at.size(); ++i) {
+      at[i].entity_id = i + 1;
+      at[i].lon = rng.Uniform(0.35, 0.65);
+      at[i].lat = rng.Uniform(0.35, 0.65);
+    }
+    size_t crossings = 0, warnings = 0;
+    for (int step = 0; step < 3000; ++step) {
+      Position& p = at[rng.UniformInt(0, static_cast<int64_t>(at.size()) - 1)];
+      uint32_t cell_before = cells.CellOf(p.lon, p.lat);
+      p.t = static_cast<TimeMs>(step) * 1000;
+      p.lon = std::clamp(p.lon + rng.Uniform(-0.03, 0.03), 0.35, 0.65);
+      p.lat = std::clamp(p.lat + rng.Uniform(-0.03, 0.03), 0.35, 0.65);
+      p.speed_mps = rng.Uniform(0.0, 12.0);
+      p.heading_deg = rng.Uniform(0.0, 360.0);
+      if (step >= static_cast<int>(at.size()) &&
+          cells.CellOf(p.lon, p.lat) != cell_before) {
+        ++crossings;
+      }
+
+      std::vector<CollisionWarning> want = sorted(oracle.Observe(p));
+      std::vector<CollisionWarning> got = sorted(screen.Observe(p));
+      ASSERT_EQ(got.size(), want.size()) << "step " << step;
+      for (size_t i = 0; i < want.size(); ++i) {
+        EXPECT_TRUE(same(got[i], want[i])) << "step " << step;
+      }
+      ASSERT_EQ(screen.pairs_evaluated(), oracle.pairs) << "step " << step;
+      warnings += want.size();
+    }
+    EXPECT_GT(crossings, 1500u);
+    EXPECT_GT(oracle.pairs, 1000u);
+    EXPECT_GT(warnings, 20u);
+  }
 }
 
 }  // namespace

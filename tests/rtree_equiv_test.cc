@@ -422,6 +422,15 @@ TEST(SpatialIndexTest, BackendsAgreeOnDynamicWorkload) {
   auto rtree = MakeSpatialIndex(SpatialBackend::kRtree, config);
   SpatialIndex* indexes[] = {scan.get(), grid.get(), rtree.get()};
 
+  // The points every index must hold: several per id (50 ids), exact
+  // duplicates included, so Remove has to take exactly one equal copy.
+  std::vector<IndexPoint> live;
+  auto live_set = [&] {
+    std::multiset<std::pair<uint64_t, TimeMs>> out;
+    for (const IndexPoint& p : live) out.insert({p.id, p.t});
+    return out;
+  };
+
   Rng rng(808);
   Rng qrng(809);
   for (int step = 0; step < 1500; ++step) {
@@ -430,17 +439,38 @@ TEST(SpatialIndexTest, BackendsAgreeOnDynamicWorkload) {
       IndexPoint p{static_cast<uint64_t>(rng.UniformInt(0, 49)),
                    static_cast<TimeMs>(step), rng.Uniform(-8.0, 12.0),
                    rng.Uniform(33.0, 46.0)};  // some points out of extent
+      // One insert in five stores an exact copy of a live point.
+      if (!live.empty() && rng.UniformInt(0, 4) == 0) {
+        p = live[rng.UniformInt(0, static_cast<int64_t>(live.size()) - 1)];
+      }
       for (SpatialIndex* ix : indexes) ix->Insert(p);
+      live.push_back(p);
     } else if (op == 6) {
-      uint64_t id = static_cast<uint64_t>(rng.UniformInt(0, 49));
-      size_t n = scan->RemoveId(id);
-      EXPECT_EQ(grid->RemoveId(id), n);
-      EXPECT_EQ(rtree->RemoveId(id), n);
+      if (live.empty()) continue;
+      size_t at = static_cast<size_t>(
+          rng.UniformInt(0, static_cast<int64_t>(live.size()) - 1));
+      IndexPoint p = live[at];
+      // A point that differs from a stored one in a single field is not
+      // stored, so no backend may remove anything for it.
+      IndexPoint other_t = p, other_id = p, other_lat = p;
+      other_t.t += 100000;
+      other_id.id += 1000;
+      other_lat.lat = std::nextafter(p.lat, 90.0);
+      for (SpatialIndex* ix : indexes) {
+        EXPECT_FALSE(ix->Remove(other_t)) << ix->name() << " step " << step;
+        EXPECT_FALSE(ix->Remove(other_id)) << ix->name() << " step " << step;
+        EXPECT_FALSE(ix->Remove(other_lat)) << ix->name() << " step " << step;
+        EXPECT_TRUE(ix->Remove(p)) << ix->name() << " step " << step;
+      }
+      live.erase(live.begin() + static_cast<std::ptrdiff_t>(at));
     } else if (op == 7) {
       TimeMs cutoff = static_cast<TimeMs>(step - 200);
       size_t n = scan->EvictBefore(cutoff);
       EXPECT_EQ(grid->EvictBefore(cutoff), n);
       EXPECT_EQ(rtree->EvictBefore(cutoff), n);
+      size_t before = live.size();
+      std::erase_if(live, [cutoff](const IndexPoint& p) { return p.t < cutoff; });
+      EXPECT_EQ(n, before - live.size());
     } else {
       double lon = qrng.Uniform(-8.0, 12.0), lat = qrng.Uniform(33.0, 46.0);
       double r = qrng.Uniform(1000.0, 300000.0);
@@ -450,8 +480,15 @@ TEST(SpatialIndexTest, BackendsAgreeOnDynamicWorkload) {
       EXPECT_EQ(IndexVisit(*rtree, lon, lat, r, min_t), want)
           << "step " << step;
     }
-    EXPECT_EQ(grid->size(), scan->size());
-    EXPECT_EQ(rtree->size(), scan->size());
+    // After every operation each backend holds exactly the live points:
+    // a radius past half the Earth's circumference visits everything.
+    auto want = live_set();
+    for (SpatialIndex* ix : indexes) {
+      EXPECT_EQ(ix->size(), live.size()) << ix->name() << " step " << step;
+      EXPECT_EQ(IndexVisit(*ix, 0.0, 40.0, 2.1e7, kTimeMin), want)
+          << ix->name() << " step " << step;
+    }
+    if (HasFailure()) break;
   }
 }
 

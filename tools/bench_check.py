@@ -118,6 +118,15 @@ measurement: the channel-transfer row at batch 64 must be at least
      rtree actually *wins* at the benched ~61 points/cell density).
      Relaxed x1.5 below 4 hardware threads.
 
+   The same JSON carries the streaming-window rows
+   (``linkdiscovery/{stream_link, stream_cpa}/{grid, rtree}``: a fleet
+   feed through linker- and CPA-shaped probe/insert/remove loops). Only
+   their differential invariant is gated — ``visits`` must be EQUAL
+   between grid and rtree per loop. Their ``us_per_report`` is printed,
+   never gated: which backend wins there is recorded in
+   docs/ARCHITECTURE.md §6, and a speed floor would pass or fail with
+   the host.
+
 9. **Triplestore star-join gates** — runs ``bench_store_starjoin
    --smoke`` and checks the plan-comparison rows in
    ``BENCH_store.json`` (a clustered-entity graph where 1-in-16
@@ -667,8 +676,8 @@ def check_linkdiscovery(rows, min_clustered_speedup, max_uniform_ratio,
                     f"{required:g}x (hw_threads={hw})")
         else:
             # Where the grid is at its best the rtree may trail, but
-            # not collapse — that would make the default backend a
-            # regression for uniform traffic.
+            # not collapse — the rtree is the backend for static point
+            # sets, and uniform ones must not regress under it.
             allowed = max_uniform_ratio * (1.0 if hw >= 4 else 1.5)
             ratio = grid["queries_per_s"] / rtree["queries_per_s"]
             ok = ratio <= allowed
@@ -679,6 +688,30 @@ def check_linkdiscovery(rows, min_clustered_speedup, max_uniform_ratio,
                 failures.append(
                     f"uniform grid/rtree ratio {ratio:.2f}x > "
                     f"{allowed:g}x (hw_threads={hw})")
+
+    # Streaming-window arm: differential invariant only.
+    print(f"\n{'streaming arm':<36} {'us/report':>12} {'visits':>10}")
+    for loop in ("stream_link", "stream_cpa"):
+        visits = {}
+        for backend in ("grid", "rtree"):
+            name = f"linkdiscovery/{loop}/{backend}"
+            row = arms.get(name)
+            if not row:
+                failures.append(
+                    f"BENCH_linkdiscovery.json missing {name} row")
+                print(f"{name:<36} {'MISSING':>12}")
+                continue
+            print(f"{name:<36} {row['us_per_report']:>12.3f} "
+                  f"{row['visits']:>10}")
+            visits[backend] = row["visits"]
+            if row["visits"] <= 0:
+                failures.append(f"{name} visited no points — the feed "
+                                f"exercised nothing")
+        if len(set(visits.values())) > 1:
+            failures.append(
+                f"{loop}: grid visited {visits['grid']} points but rtree "
+                f"visited {visits['rtree']} — backends disagree on the "
+                f"same feed")
 
 
 def check_store(rows, min_adjacency_speedup, failures):
